@@ -297,8 +297,23 @@ impl GpuEngine {
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<(Ylt, LaunchStats)> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
+        let secondary = build_secondary(portfolio, opts, self.pool());
+        let (ylt, stats) = self.run_with_secondary(portfolio, yet, secondary.as_deref())?;
+        *self.last_stats.lock() = Some(stats);
+        Ok((ylt, stats))
+    }
+
+    /// The kernel launch on prebuilt secondary tables (`None`: ELT
+    /// means), returning the YLT and the launch statistics (which only
+    /// [`GpuEngine::run_with_stats`] records for
+    /// [`GpuEngine::last_stats`]).
+    pub(crate) fn run_with_secondary(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<(Ylt, LaunchStats)> {
+        check_inputs(portfolio, yet, secondary)?;
         let trials = yet.trials();
         let mut terms_flat = Vec::with_capacity(portfolio.len() * 5);
         for l in portfolio.layers() {
@@ -307,7 +322,7 @@ impl GpuEngine {
         let terms = ConstMem::from_f64s(&terms_flat, self.device.const_mem_bytes)?;
         let kernel = AggKernel {
             portfolio,
-            secondary: secondary.as_deref(),
+            secondary,
             yet,
             _terms: terms,
             chunking: self.chunking,
@@ -318,7 +333,6 @@ impl GpuEngine {
         };
         let cfg = LaunchConfig::cover(trials, self.block_threads);
         let stats = self.device.launch(&kernel, cfg, self.pool())?;
-        *self.last_stats.lock() = Some(stats);
         let ylt = Ylt::from_columns(
             kernel.out_agg.into_vec(),
             kernel.out_max.into_vec(),

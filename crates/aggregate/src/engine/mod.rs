@@ -68,21 +68,49 @@ pub trait AggregateEngine {
     ) -> RiskResult<Ylt>;
 }
 
-/// Validation shared by all engines.
-pub(crate) fn check_inputs(portfolio: &Portfolio, yet: &YearEventTable) -> RiskResult<()> {
+/// Validation shared by all engines: non-empty inputs, and — when
+/// secondary tables are supplied — one table per layer, each with one
+/// row per row of its layer's ELT (so `compute_trial` never indexes
+/// past a table).
+pub(crate) fn check_inputs(
+    portfolio: &Portfolio,
+    yet: &YearEventTable,
+    secondary: Option<&[SecondaryTable]>,
+) -> RiskResult<()> {
     if portfolio.is_empty() {
         return Err(RiskError::invalid("portfolio has no layers"));
     }
     if yet.trials() == 0 {
         return Err(RiskError::invalid("YET has no trials"));
     }
+    let Some(tables) = secondary else {
+        return Ok(());
+    };
+    if tables.len() != portfolio.len() {
+        return Err(RiskError::invalid(format!(
+            "{} secondary tables for a portfolio of {} layers",
+            tables.len(),
+            portfolio.len()
+        )));
+    }
+    for (li, (table, layer)) in tables.iter().zip(portfolio.layers()).enumerate() {
+        if table.len() != layer.elt.len() {
+            return Err(RiskError::invalid(format!(
+                "secondary table for layer {li} has {} rows, its ELT has {}",
+                table.len(),
+                layer.elt.len()
+            )));
+        }
+    }
     Ok(())
 }
 
-/// Build per-layer secondary tables if the options ask for them.
+/// Build per-layer secondary tables on `pool` if the options ask for
+/// them.
 pub(crate) fn build_secondary(
     portfolio: &Portfolio,
     opts: &AggregateOptions,
+    pool: &riskpipe_exec::ThreadPool,
 ) -> Option<Vec<SecondaryTable>> {
     if !opts.secondary_uncertainty {
         return None;
@@ -91,7 +119,7 @@ pub(crate) fn build_secondary(
         portfolio
             .layers()
             .iter()
-            .map(|l| SecondaryTable::build(&l.elt, opts.quantile_mode))
+            .map(|l| SecondaryTable::build_on(&l.elt, opts.quantile_mode, pool))
             .collect(),
     )
 }
@@ -198,8 +226,8 @@ pub fn run_per_layer(
     yet: &YearEventTable,
     opts: &AggregateOptions,
 ) -> RiskResult<Vec<Ylt>> {
-    check_inputs(portfolio, yet)?;
-    let secondary = build_secondary(portfolio, opts);
+    let secondary = build_secondary(portfolio, opts, riskpipe_exec::global_pool());
+    check_inputs(portfolio, yet, secondary.as_deref())?;
     let trials = yet.trials();
     let layers = portfolio.layers();
     let mut ylts: Vec<Ylt> = (0..layers.len()).map(|_| Ylt::zeroed(trials)).collect();
@@ -272,6 +300,13 @@ impl EngineKind {
 /// engine-dispatch point for everything above this crate (the
 /// `RiskSession` facade included). Uses the global thread pool unless
 /// one is attached with [`AggregateRunner::with_pool`].
+///
+/// [`AggregateRunner::run`] builds the secondary-uncertainty tables on
+/// that pool for every call; [`AggregateRunner::run_with_secondary`]
+/// takes them prebuilt instead. A `RiskSession` uses the latter: it
+/// builds the tables once per stage-1 key per session, on the session
+/// pool, keeps them in the stage-1 cache entry, and hands them to every
+/// scenario on that key.
 #[derive(Debug, Clone)]
 pub struct AggregateRunner {
     kind: EngineKind,
@@ -314,34 +349,69 @@ impl AggregateRunner {
         &self.opts
     }
 
-    /// Run the analysis on the attached pool (or the global pool).
+    /// Run the analysis on the attached pool (or the global pool),
+    /// building the secondary tables there first when the options ask
+    /// for them.
     pub fn run(&self, portfolio: &Portfolio, yet: &YearEventTable) -> RiskResult<Ylt> {
+        let pool = match &self.pool {
+            Some(pool) => pool,
+            None => riskpipe_exec::global_pool(),
+        };
+        let secondary = build_secondary(portfolio, &self.opts, pool);
+        self.run_with_secondary(portfolio, yet, secondary.as_deref())
+    }
+
+    /// Run the analysis on prebuilt secondary tables: one per portfolio
+    /// layer, built from that layer's ELT with these options'
+    /// [`QuantileMode`] ([`SecondaryTable::build_on`]), and `None`
+    /// exactly when secondary uncertainty is off. The YLT is bitwise
+    /// the one [`AggregateRunner::run`] computes.
+    ///
+    /// # Errors
+    /// [`RiskError::invalid`] when the tables disagree with the options
+    /// (present with secondary uncertainty off, or absent with it on)
+    /// or with the portfolio (table count, or a table's row count
+    /// against its layer's ELT), besides the engines' own input errors.
+    pub fn run_with_secondary(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<Ylt> {
+        if secondary.is_some() != self.opts.secondary_uncertainty {
+            return Err(RiskError::invalid(if self.opts.secondary_uncertainty {
+                "secondary uncertainty is on but no secondary tables were given"
+            } else {
+                "secondary tables given but secondary uncertainty is off"
+            }));
+        }
         match (&self.pool, self.kind) {
-            (_, EngineKind::Sequential) => SequentialEngine.run(portfolio, yet, &self.opts),
-            (Some(pool), EngineKind::CpuParallel) => {
-                CpuParallelEngine::new(Arc::clone(pool)).run(portfolio, yet, &self.opts)
+            (_, EngineKind::Sequential) => {
+                SequentialEngine.run_with_secondary(portfolio, yet, secondary)
             }
-            (Some(pool), EngineKind::GpuGlobal) => GpuEngine::new(
-                riskpipe_simgpu::DeviceSpec::host_native(pool.thread_count()),
-                GpuChunking::GlobalOnly,
-                Arc::clone(pool),
-            )
-            .run(portfolio, yet, &self.opts),
-            (Some(pool), EngineKind::GpuChunked) => GpuEngine::new(
-                riskpipe_simgpu::DeviceSpec::host_native(pool.thread_count()),
-                GpuChunking::SharedTiles,
-                Arc::clone(pool),
-            )
-            .run(portfolio, yet, &self.opts),
+            (Some(pool), EngineKind::CpuParallel) => CpuParallelEngine::new(Arc::clone(pool))
+                .run_with_secondary(portfolio, yet, secondary),
             (None, EngineKind::CpuParallel) => {
                 CpuParallelEngine::with_pool_ref(riskpipe_exec::global_pool())
-                    .run(portfolio, yet, &self.opts)
+                    .run_with_secondary(portfolio, yet, secondary)
             }
-            (None, EngineKind::GpuGlobal) => {
-                GpuEngine::on_global_pool(GpuChunking::GlobalOnly).run(portfolio, yet, &self.opts)
-            }
-            (None, EngineKind::GpuChunked) => {
-                GpuEngine::on_global_pool(GpuChunking::SharedTiles).run(portfolio, yet, &self.opts)
+            (_, EngineKind::GpuGlobal | EngineKind::GpuChunked) => {
+                let chunking = if self.kind == EngineKind::GpuGlobal {
+                    GpuChunking::GlobalOnly
+                } else {
+                    GpuChunking::SharedTiles
+                };
+                let engine = match &self.pool {
+                    Some(pool) => GpuEngine::new(
+                        riskpipe_simgpu::DeviceSpec::host_native(pool.thread_count()),
+                        chunking,
+                        Arc::clone(pool),
+                    ),
+                    None => GpuEngine::on_global_pool(chunking),
+                };
+                engine
+                    .run_with_secondary(portfolio, yet, secondary)
+                    .map(|(ylt, _)| ylt)
             }
         }
     }
@@ -456,6 +526,62 @@ mod per_layer_tests {
                 (sum - whole).abs() <= 1e-9 * whole.abs().max(1.0),
                 "trial {t}: per-layer {sum} vs portfolio {whole}"
             );
+        }
+    }
+
+    #[test]
+    fn prebuilt_tables_match_run_on_every_engine() {
+        let (p, yet) = fixture();
+        let opts = AggregateOptions::default();
+        let pool = Arc::new(riskpipe_exec::ThreadPool::new(2));
+        let tables = build_secondary(&p, &opts, &pool).unwrap();
+        for kind in EngineKind::ALL {
+            let runner = AggregateRunner::new(kind).with_pool(Arc::clone(&pool));
+            assert_eq!(
+                runner.run_with_secondary(&p, &yet, Some(&tables)).unwrap(),
+                runner.run(&p, &yet).unwrap(),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_prebuilt_tables_are_rejected() {
+        let (p, yet) = fixture();
+        let opts = AggregateOptions::default();
+        let pool = Arc::new(riskpipe_exec::ThreadPool::new(2));
+        let tables = build_secondary(&p, &opts, &pool).unwrap();
+        // A table over a shorter ELT: indexing it with the layer's
+        // rows would run past its end.
+        let mut b = EltBuilder::new();
+        b.push(EltRecord {
+            event_id: EventId::new(0),
+            mean_loss: 10.0,
+            sigma_i: 2.0,
+            sigma_c: 1.0,
+            exposure: 50.0,
+        })
+        .unwrap();
+        let short = SecondaryTable::build_on(&b.build().unwrap(), opts.quantile_mode, &pool);
+        let wrong_rows = vec![tables[0].clone(), short];
+        let no_secondary = AggregateOptions {
+            secondary_uncertainty: false,
+            ..opts
+        };
+        let rejects = |runner: &AggregateRunner, secondary: Option<&[SecondaryTable]>| {
+            matches!(
+                runner.run_with_secondary(&p, &yet, secondary),
+                Err(RiskError::InvalidParameter(_))
+            )
+        };
+        for kind in EngineKind::ALL {
+            let runner = AggregateRunner::new(kind).with_pool(Arc::clone(&pool));
+            assert!(rejects(&runner, Some(&tables[..1])), "{kind:?}: layers");
+            assert!(rejects(&runner, Some(&wrong_rows)), "{kind:?}: rows");
+            // Tables must agree with the options, too.
+            assert!(rejects(&runner, None), "{kind:?}: missing");
+            let off = runner.with_options(no_secondary);
+            assert!(rejects(&off, Some(&tables)), "{kind:?}: unwanted");
         }
     }
 

@@ -6,6 +6,7 @@ use super::{
     build_secondary, check_inputs, compute_trial, AggregateEngine, AggregateOptions, NoMeter,
 };
 use crate::portfolio::Portfolio;
+use crate::secondary::SecondaryTable;
 use riskpipe_exec::{par_chunks_mut, suggest_grain, ThreadPool};
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
@@ -45,6 +46,36 @@ impl CpuParallelEngine {
             PoolRef::Global(p) => p,
         }
     }
+
+    /// The trial loop on prebuilt secondary tables (`None`: ELT means).
+    pub(crate) fn run_with_secondary(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<Ylt> {
+        check_inputs(portfolio, yet, secondary)?;
+        let trials = yet.trials();
+        let pool = self.pool();
+        let grain = suggest_grain(trials, pool.thread_count(), 256);
+        let mut rows = vec![(0.0f64, 0.0f64, 0u32); trials];
+        par_chunks_mut(pool, &mut rows, grain, |chunk_idx, chunk| {
+            // Per-task scratch: one accumulator per layer, reused across
+            // the chunk's trials (no per-trial allocation).
+            let mut scratch = vec![0.0f64; portfolio.len()];
+            let base = chunk_idx * grain;
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                let trial = TrialId::new((base + j) as u32);
+                let (events, _days, zs) = yet.trial_slices(trial);
+                *slot = compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
+            }
+        });
+        let mut ylt = Ylt::zeroed(trials);
+        for (t, (agg, max_occ, count)) in rows.into_iter().enumerate() {
+            ylt.set_trial(TrialId::new(t as u32), agg, max_occ, count);
+        }
+        Ok(ylt)
+    }
 }
 
 impl AggregateEngine for CpuParallelEngine {
@@ -58,35 +89,8 @@ impl AggregateEngine for CpuParallelEngine {
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
-        let trials = yet.trials();
-        let pool = self.pool();
-        let grain = suggest_grain(trials, pool.thread_count(), 256);
-        let mut rows = vec![(0.0f64, 0.0f64, 0u32); trials];
-        par_chunks_mut(pool, &mut rows, grain, |chunk_idx, chunk| {
-            // Per-task scratch: one accumulator per layer, reused across
-            // the chunk's trials (no per-trial allocation).
-            let mut scratch = vec![0.0f64; portfolio.len()];
-            let base = chunk_idx * grain;
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let trial = TrialId::new((base + j) as u32);
-                let (events, _days, zs) = yet.trial_slices(trial);
-                *slot = compute_trial(
-                    portfolio,
-                    secondary.as_deref(),
-                    events,
-                    zs,
-                    &mut scratch,
-                    &NoMeter,
-                );
-            }
-        });
-        let mut ylt = Ylt::zeroed(trials);
-        for (t, (agg, max_occ, count)) in rows.into_iter().enumerate() {
-            ylt.set_trial(TrialId::new(t as u32), agg, max_occ, count);
-        }
-        Ok(ylt)
+        let secondary = build_secondary(portfolio, opts, self.pool());
+        self.run_with_secondary(portfolio, yet, secondary.as_deref())
     }
 }
 

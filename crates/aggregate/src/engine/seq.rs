@@ -5,6 +5,7 @@ use super::{
     build_secondary, check_inputs, compute_trial, AggregateEngine, AggregateOptions, NoMeter,
 };
 use crate::portfolio::Portfolio;
+use crate::secondary::SecondaryTable;
 use riskpipe_tables::yet::YearEventTable;
 use riskpipe_tables::Ylt;
 use riskpipe_types::{RiskResult, TrialId};
@@ -12,6 +13,29 @@ use riskpipe_types::{RiskResult, TrialId};
 /// Single-threaded aggregate analysis.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialEngine;
+
+impl SequentialEngine {
+    /// The trial loop on prebuilt secondary tables (`None`: ELT means).
+    pub(crate) fn run_with_secondary(
+        &self,
+        portfolio: &Portfolio,
+        yet: &YearEventTable,
+        secondary: Option<&[SecondaryTable]>,
+    ) -> RiskResult<Ylt> {
+        check_inputs(portfolio, yet, secondary)?;
+        let trials = yet.trials();
+        let mut ylt = Ylt::zeroed(trials);
+        let mut scratch = vec![0.0f64; portfolio.len()];
+        for t in 0..trials {
+            let trial = TrialId::new(t as u32);
+            let (events, _days, zs) = yet.trial_slices(trial);
+            let (agg, max_occ, count) =
+                compute_trial(portfolio, secondary, events, zs, &mut scratch, &NoMeter);
+            ylt.set_trial(trial, agg, max_occ, count);
+        }
+        Ok(ylt)
+    }
+}
 
 impl AggregateEngine for SequentialEngine {
     fn name(&self) -> &'static str {
@@ -24,25 +48,8 @@ impl AggregateEngine for SequentialEngine {
         yet: &YearEventTable,
         opts: &AggregateOptions,
     ) -> RiskResult<Ylt> {
-        check_inputs(portfolio, yet)?;
-        let secondary = build_secondary(portfolio, opts);
-        let trials = yet.trials();
-        let mut ylt = Ylt::zeroed(trials);
-        let mut scratch = vec![0.0f64; portfolio.len()];
-        for t in 0..trials {
-            let trial = TrialId::new(t as u32);
-            let (events, _days, zs) = yet.trial_slices(trial);
-            let (agg, max_occ, count) = compute_trial(
-                portfolio,
-                secondary.as_deref(),
-                events,
-                zs,
-                &mut scratch,
-                &NoMeter,
-            );
-            ylt.set_trial(trial, agg, max_occ, count);
-        }
-        Ok(ylt)
+        let secondary = build_secondary(portfolio, opts, riskpipe_exec::global_pool());
+        self.run_with_secondary(portfolio, yet, secondary.as_deref())
     }
 }
 

@@ -13,7 +13,13 @@
 //! answer lookups with linear interpolation. The approximation is
 //! monotone in `z` and identical across all engines (they share the
 //! table), preserving cross-engine bit-equality.
+//!
+//! The table is a pure function of the ELT and the [`QuantileMode`], so
+//! a `RiskSession` builds it once per stage-1 key per session, on the
+//! session pool, and keeps it in the stage-1 cache entry beside the
+//! model run; every scenario priced on that key reuses it.
 
+use riskpipe_exec::ThreadPool;
 use riskpipe_tables::Elt;
 use riskpipe_types::dist::Beta;
 
@@ -36,7 +42,8 @@ impl Default for QuantileMode {
 }
 
 /// Per-ELT-row secondary-uncertainty parameters, precomputed once per
-/// analysis run.
+/// stage-1 key per session (on the session pool) and shared by every
+/// stage-2 run on that key.
 #[derive(Debug, Clone)]
 pub struct SecondaryTable {
     exposure: Vec<f64>,
@@ -49,8 +56,15 @@ pub struct SecondaryTable {
 }
 
 impl SecondaryTable {
-    /// Build the table for an ELT.
+    /// Build the table for an ELT on the global pool.
     pub fn build(elt: &Elt, mode: QuantileMode) -> Self {
+        Self::build_on(elt, mode, riskpipe_exec::global_pool())
+    }
+
+    /// Build the table for an ELT, inverting grid rows in parallel on
+    /// `pool`. The result does not depend on the pool: rows are
+    /// independent and collected in index order.
+    pub fn build_on(elt: &Elt, mode: QuantileMode, pool: &ThreadPool) -> Self {
         let (_ids, mean, sigma_i, sigma_c, exposure) = elt.columns();
         let n = mean.len();
         let mut betas = Vec::with_capacity(n);
@@ -69,7 +83,6 @@ impl SecondaryTable {
                 // dominate analysis start-up, so build rows in parallel
                 // (index-ordered collection keeps the table, and thus
                 // every engine's output, deterministic).
-                let pool = riskpipe_exec::global_pool();
                 let grain = riskpipe_exec::suggest_grain(n, pool.thread_count(), 8);
                 let rows: Vec<Vec<f64>> = riskpipe_exec::par_map_collect(pool, n, grain, |i| {
                     let beta = &betas[i];

@@ -7,7 +7,9 @@
 //! deciding where stage-2 YELT intermediates live, and a keyed stage-1
 //! cache ([`Stage1CacheStats`]) so scenarios sharing a catalogue
 //! seed/config fingerprint reuse one model run instead of regenerating
-//! the catalogue, event set and ELTs per scenario.
+//! the catalogue, event set and ELTs per scenario. Each cache entry also
+//! holds the stage-2 secondary-uncertainty tables for its books, built
+//! once per stage-1 key per session, on the session pool.
 //!
 //! Execution comes in three shapes, all bit-identical per scenario:
 //!
@@ -45,7 +47,7 @@ use crate::config::{ScenarioConfig, Stage1Bundle};
 use crate::report::{money, TextTable};
 use crate::sink::ReportSink;
 use crate::stage1disk::DiskStage1Cache;
-use riskpipe_aggregate::{AggregateOptions, AggregateRunner, EngineKind};
+use riskpipe_aggregate::{AggregateOptions, AggregateRunner, EngineKind, SecondaryTable};
 use riskpipe_catmodel::Stage1Output;
 use riskpipe_dfa::{CompanyConfig, DfaEngine};
 use riskpipe_exec::lockwitness::{Condvar, Mutex};
@@ -390,8 +392,10 @@ pub struct Stage1CacheStats {
     pub evictions: u64,
     /// Distinct keys currently retained.
     pub entries: usize,
-    /// Estimated bytes currently retained (sum of each cached model
-    /// run's [`Stage1Output::memory_bytes`]) — what the
+    /// Estimated bytes currently retained: for each cached entry, its
+    /// model run's [`Stage1Output::memory_bytes`] plus its secondary
+    /// tables' [`SecondaryTable::memory_bytes`] (built once per stage-1
+    /// key per session, on the session pool) — what the
     /// [`RiskSessionBuilder::stage1_cache_bytes`] budget bounds.
     pub bytes: u64,
     /// Cumulative wall time spent building stage-1 model runs, in
@@ -453,6 +457,32 @@ impl TimingRing {
     }
 }
 
+/// What the stage-1 cache serves for a key: the model run plus the
+/// secondary-uncertainty tables derived from it, one per book (book
+/// *i*'s ELT is layer *i*'s, see [`ScenarioConfig::bundle_from_output`]).
+/// The tables depend only on the ELTs and the session's
+/// [`QuantileMode`](riskpipe_aggregate::QuantileMode), so every scenario
+/// on the key shares them.
+#[derive(Clone)]
+struct Stage1Entry {
+    output: Arc<Stage1Output>,
+    /// `None` when the session runs without secondary uncertainty.
+    secondary: Option<Arc<[SecondaryTable]>>,
+}
+
+impl Stage1Entry {
+    /// Estimated footprint: the model run plus its tables.
+    fn memory_bytes(&self) -> usize {
+        let tables: usize = self
+            .secondary
+            .iter()
+            .flat_map(|tables| tables.iter())
+            .map(SecondaryTable::memory_bytes)
+            .sum();
+        self.output.memory_bytes() + tables
+    }
+}
+
 /// One key's cache entry. `Building` marks an in-progress build so
 /// concurrent requesters know not to expect a value yet; they build
 /// redundantly rather than wait (see [`Stage1Cache::get_or_build`]).
@@ -461,12 +491,12 @@ enum SlotState {
     #[default]
     Empty,
     Building,
-    Ready(Arc<Stage1Output>),
+    Ready(Stage1Entry),
 }
 
 struct CacheSlot {
     state: Mutex<SlotState>,
-    /// Estimated bytes of the published output (0 while `Building`) —
+    /// Estimated bytes of the published entry (0 while `Building`) —
     /// readable without the state lock so budget enforcement under the
     /// index lock never orders against a slot lock.
     bytes: AtomicUsize,
@@ -569,10 +599,11 @@ impl CacheIndex {
 }
 
 /// A keyed cache of stage-1 model runs ([`Stage1Output`]: catalogue,
-/// per-contract books, YET), shared across every scenario a session
-/// executes. Keys come from [`ScenarioConfig::stage1_key`] — a stable
-/// fingerprint of the generating configs — so a sweep that varies only
-/// pricing terms (or report names) regenerates nothing. Eviction is
+/// per-contract books, YET) and their secondary tables, shared across
+/// every scenario a session executes. Keys come from
+/// [`ScenarioConfig::stage1_key`] — a stable fingerprint of the
+/// generating configs — so a sweep that varies only pricing terms (or
+/// report names) regenerates nothing. Eviction is
 /// LRU under two independent bounds: an entry-count capacity and an
 /// optional byte budget over the retained outputs' estimated
 /// footprints.
@@ -645,7 +676,10 @@ impl Stage1Cache {
         matches!(*state, SlotState::Ready(_))
     }
 
-    /// Look up `key`, building (and retaining) on a miss.
+    /// Look up `key`, building (and retaining) on a miss. A miss loads
+    /// or builds the model run ([`Stage1Cache::load_or_build`]), then
+    /// derives its secondary tables with `secondary`, and publishes both
+    /// in one step — so a `Ready` entry always carries its tables.
     ///
     /// This NEVER blocks on another request's build. Pipeline tasks run
     /// on pool workers whose nested scopes *steal and inline other
@@ -658,24 +692,25 @@ impl Stage1Cache {
     /// finishes first publishes. [`RiskSession::run_stream`] holds back
     /// same-key followers until the key's first scenario deposits, so
     /// within one streaming/batch call the redundant path never fires
-    /// and stage 1 builds exactly once per distinct key.
+    /// and stage 1 (tables included) builds exactly once per distinct
+    /// key.
     fn get_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> RiskResult<Stage1Output>,
-    ) -> RiskResult<Arc<Stage1Output>> {
+        secondary: impl FnOnce(&Stage1Output) -> Option<Arc<[SecondaryTable]>>,
+    ) -> RiskResult<Stage1Entry> {
+        let derive = |output: Arc<Stage1Output>| Stage1Entry {
+            secondary: secondary(&output),
+            output,
+        };
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             riskpipe_obs::counter_add("stage1.misses", 1);
             // The disk tier is independent of the RAM cache: with
             // capacity 0 every lookup misses RAM, but a warm tier
             // still avoids the rebuild.
-            if let Some(output) = self.disk_load(key)? {
-                return Ok(Arc::new(output));
-            }
-            let output = Arc::new(self.timed_build(key, build)?);
-            self.disk_store(key, &output)?;
-            return Ok(output);
+            return self.load_or_build(key, build).map(derive);
         }
         let slot = {
             // lint: allow(C1) — index mutex covers map insert/evict
@@ -708,10 +743,10 @@ impl Stage1Cache {
             // is never waited on), so no holder can park this worker.
             let mut state = slot.state.lock();
             match &*state {
-                SlotState::Ready(output) => {
+                SlotState::Ready(entry) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     riskpipe_obs::counter_add("stage1.hits", 1);
-                    return Ok(Arc::clone(output));
+                    return Ok(entry.clone());
                 }
                 SlotState::Building => {} // redundant build below
                 SlotState::Empty => *state = SlotState::Building,
@@ -719,59 +754,21 @@ impl Stage1Cache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         riskpipe_obs::counter_add("stage1.misses", 1);
-        // RAM missed; a complete disk entry serves the slot without a
-        // build (bit-identical — stage 1 is a pure function of the
-        // key, and the codec round trip is exact).
-        match self.disk_load(key) {
-            Ok(Some(output)) => {
-                let output = Arc::new(output);
+        match self.load_or_build(key, build).map(derive) {
+            Ok(entry) => {
                 // Sized outside the lock: the footprint is a pure
                 // accessor and the critical section stays tag-only.
-                let output_bytes = output.memory_bytes();
-                // lint: allow(C1) — tag-only publish of a completed
-                // disk hit; bounded critical section, no nested waits.
-                let mut state = slot.state.lock();
-                if !matches!(*state, SlotState::Ready(_)) {
-                    *state = SlotState::Ready(Arc::clone(&output));
-                    slot.bytes.store(output_bytes, Ordering::Relaxed);
-                }
-                drop(state);
-                self.enforce_byte_budget(key);
-                return Ok(output);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                // lint: allow(C1) — tag-only rollback on a disk-tier
-                // error; bounded critical section, no nested waits.
-                let mut state = slot.state.lock();
-                if matches!(*state, SlotState::Building) {
-                    *state = SlotState::Empty;
-                }
-                return Err(e);
-            }
-        }
-        let built = self.timed_build(key, build).and_then(|output| {
-            let output = Arc::new(output);
-            // Write through before publishing, so a disk-tier error
-            // takes the same retry path as a failed build instead of
-            // leaving RAM and disk disagreeing.
-            self.disk_store(key, &output)?;
-            Ok(output)
-        });
-        match built {
-            Ok(output) => {
-                // Sized outside the lock, as in the disk-hit path.
-                let output_bytes = output.memory_bytes();
+                let entry_bytes = entry.memory_bytes();
                 // lint: allow(C1) — tag-only publish after an unlocked
                 // build; bounded critical section, no nested waits.
                 let mut state = slot.state.lock();
                 if !matches!(*state, SlotState::Ready(_)) {
-                    *state = SlotState::Ready(Arc::clone(&output));
-                    slot.bytes.store(output_bytes, Ordering::Relaxed);
+                    *state = SlotState::Ready(entry.clone());
+                    slot.bytes.store(entry_bytes, Ordering::Relaxed);
                 }
                 drop(state);
                 self.enforce_byte_budget(key);
-                Ok(output)
+                Ok(entry)
             }
             Err(e) => {
                 // Re-open the slot so a later request retries, unless a
@@ -785,6 +782,26 @@ impl Stage1Cache {
                 Err(e)
             }
         }
+    }
+
+    /// The model run for a key that missed RAM: a complete disk entry
+    /// serves it without a build (bit-identical — stage 1 is a pure
+    /// function of the key, and the codec round trip is exact);
+    /// otherwise `build` runs and is written through to the disk tier.
+    fn load_or_build(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> RiskResult<Stage1Output>,
+    ) -> RiskResult<Arc<Stage1Output>> {
+        if let Some(output) = self.disk_load(key)? {
+            return Ok(Arc::new(output));
+        }
+        let output = Arc::new(self.timed_build(key, build)?);
+        // Write through before publishing, so a disk-tier error takes
+        // the same retry path as a failed build instead of leaving RAM
+        // and disk disagreeing.
+        self.disk_store(key, &output)?;
+        Ok(output)
     }
 
     /// Consult the disk tier for `key`. A corrupt or key-mismatched
@@ -1051,13 +1068,15 @@ impl RiskSessionBuilder {
 
     /// Bound the stage-1 cache by *bytes* instead of (or on top of)
     /// the entry count: after each build publishes, least-recently-used
-    /// entries are evicted until the retained model runs' estimated
-    /// footprints ([`Stage1Output::memory_bytes`]) fit `bytes`. The
-    /// just-published entry always survives, so a budget smaller than
-    /// one model run degrades to caching only the latest run. The
-    /// never-blocking leader/follower protocol is unchanged — eviction
-    /// happens under the index lock alone and in-flight builds are
-    /// never discarded.
+    /// entries are evicted until the retained entries' estimated
+    /// footprints fit `bytes`. An entry's footprint is its model run's
+    /// [`Stage1Output::memory_bytes`] plus the secondary tables built
+    /// for it (once per stage-1 key per session, on the session pool;
+    /// [`SecondaryTable::memory_bytes`]). The just-published entry
+    /// always survives, so a budget smaller than one entry degrades to
+    /// caching only the latest run. The never-blocking leader/follower
+    /// protocol is unchanged — eviction happens under the index lock
+    /// alone and in-flight builds are never discarded.
     pub fn stage1_cache_bytes(mut self, bytes: u64) -> Self {
         self.stage1_bytes = Some(bytes);
         self
@@ -1370,7 +1389,7 @@ impl RiskSession {
                     let _scenario_span = riskpipe_obs::span_key("sweep.scenario", i as u64);
                     let result = self
                         .acquire_stage1(key, scenario)
-                        .and_then(|(output, stage1)| {
+                        .and_then(|(entry, stage1)| {
                             // The key's cache entry is ready: wake the
                             // control loop so same-key followers start
                             // now instead of after this scenario's
@@ -1381,7 +1400,7 @@ impl RiskSession {
                             // it, so acquisition is bounded.
                             state.lock().stage1_published = true;
                             completed.notify_all();
-                            self.finish_pipeline(scenario, Some(i), run, output, stage1)
+                            self.finish_pipeline(scenario, Some(i), run, entry, stage1)
                         });
                     // lint: allow(C1) — result deposit: map insert +
                     // notify under a micro critical section; no holder
@@ -1576,44 +1595,67 @@ impl RiskSession {
         slot: Option<usize>,
         run: u64,
     ) -> RiskResult<PipelineReport> {
-        let (output, stage1) = self.acquire_stage1(scenario.stage1_key(), scenario)?;
-        self.finish_pipeline(scenario, slot, run, output, stage1)
+        let (entry, stage1) = self.acquire_stage1(scenario.stage1_key(), scenario)?;
+        self.finish_pipeline(scenario, slot, run, entry, stage1)
     }
 
     /// Stage 1 for one scenario, through the keyed cache: the model run
-    /// (catalogue, books, YET) is built or reused under `key` — the
-    /// caller's precomputed [`ScenarioConfig::stage1_key`]. On a hit
-    /// this is microseconds.
+    /// (catalogue, books, YET) and its secondary tables are built or
+    /// reused under `key` — the caller's precomputed
+    /// [`ScenarioConfig::stage1_key`]. On a hit this is microseconds.
     fn acquire_stage1(
         &self,
         key: u64,
         scenario: &ScenarioConfig,
-    ) -> RiskResult<(Arc<Stage1Output>, StageTiming)> {
+    ) -> RiskResult<(Stage1Entry, StageTiming)> {
         let _span = riskpipe_obs::span_key("stage1.acquire", key);
         // lint: allow(D3) — reading flows only into the StageTiming
         // diagnostic attached to the report, never into loss numerics.
         let t0 = Instant::now();
-        let output = self
-            .stage1
-            .get_or_build(key, || scenario.build_stage1_output_on(&self.pool))?;
+        let entry = self.stage1.get_or_build(
+            key,
+            || scenario.build_stage1_output_on(&self.pool),
+            |output| self.build_secondary(key, output),
+        )?;
         let stage1 = StageTiming {
             stage: 1,
             elapsed: t0.elapsed(),
         };
-        Ok((output, stage1))
+        Ok((entry, stage1))
     }
 
-    /// Stages 2 and 3 on an already-acquired stage-1 output; only the
+    /// The secondary-uncertainty tables for a freshly built or loaded
+    /// model run, one per book, on the session pool (`None` when the
+    /// session runs without secondary uncertainty). Runs outside the
+    /// `stage1.build` span, so that span and
+    /// [`Stage1CacheStats::build_nanos`] time only the model run.
+    fn build_secondary(&self, key: u64, output: &Stage1Output) -> Option<Arc<[SecondaryTable]>> {
+        let opts = self.runner.options();
+        if !opts.secondary_uncertainty {
+            return None;
+        }
+        let _span = riskpipe_obs::span_key("stage2.secondary", key);
+        riskpipe_obs::counter_add("stage2.secondary_builds", 1);
+        Some(
+            output
+                .books
+                .iter()
+                .map(|book| SecondaryTable::build_on(&book.elt, opts.quantile_mode, &self.pool))
+                .collect(),
+        )
+    }
+
+    /// Stages 2 and 3 on an already-acquired stage-1 entry; only the
     /// portfolio's layer terms are derived per scenario.
     fn finish_pipeline(
         &self,
         scenario: &ScenarioConfig,
         slot: Option<usize>,
         run: u64,
-        output: Arc<Stage1Output>,
+        entry: Stage1Entry,
         stage1: StageTiming,
     ) -> RiskResult<PipelineReport> {
-        let bundle: Stage1Bundle = scenario.bundle_from_output(output)?;
+        let bundle: Stage1Bundle = scenario.bundle_from_output(entry.output)?;
         // Span keys: the sweep slot when streaming, 0 for single runs.
         let span_key = slot.map_or(0, |s| s as u64);
 
@@ -1625,7 +1667,8 @@ impl RiskSession {
         let yet = bundle.year_event_table();
         let ylt = {
             let _engine_span = riskpipe_obs::span_key("stage2.engine", span_key);
-            self.runner.run(&portfolio, &yet)?
+            self.runner
+                .run_with_secondary(&portfolio, &yet, entry.secondary.as_deref())?
         };
 
         // Materialise the YELT for the first book under the configured
@@ -1758,7 +1801,9 @@ pub struct StageTiming {
 pub struct PipelineReport {
     /// Scenario name.
     pub scenario_name: String,
-    /// Per-stage wall timings.
+    /// Per-stage wall timings. Stage 1 covers the cache lookup, so it
+    /// includes the secondary-table build on a miss; stage 2 is the
+    /// trial loop and the YELT spill.
     pub timings: [StageTiming; 3],
     /// Total ELT rows across the portfolio.
     pub elt_rows: usize,

@@ -10,9 +10,11 @@
 //! keep holding until the shim is removed.
 #![allow(deprecated)]
 
+use riskpipe::aggregate::{AggregateOptions, EngineKind, QuantileMode, SecondaryTable};
 use riskpipe::core::{
     PersistingSink, ReportStream, RiskSession, ScenarioConfig, ShardedFilesStore, SweepSummary,
 };
+use riskpipe::obs::Telemetry;
 use riskpipe::types::{RiskError, RiskResult};
 use std::sync::Arc;
 
@@ -347,5 +349,88 @@ fn run_after_stream_reuses_the_cache() -> RiskResult<()> {
     let stats = session.stage1_cache_stats();
     assert_eq!(stats.misses, misses_after_sweep);
     assert!(stats.hits >= 3);
+    Ok(())
+}
+
+/// A 12-point attachment sweep over one stage-1 key, on a catalogue cut
+/// down from `small()` so that the cache-off side, which rebuilds the
+/// secondary tables for every scenario, stays quick in debug builds.
+fn twelve_point_sweep(seed: u64) -> Vec<ScenarioConfig> {
+    (0..12)
+        .map(|i| {
+            let mut s = ScenarioConfig::small()
+                .with_seed(seed)
+                .with_trials(300)
+                .with_name(format!("attach-{i}"))
+                .with_attachment_factor(0.1 + 0.2 * i as f64);
+            s.events = 400;
+            s
+        })
+        .collect()
+}
+
+#[test]
+fn same_key_sweep_builds_secondary_tables_once_on_every_engine() -> RiskResult<()> {
+    let scenarios = twelve_point_sweep(170);
+    for engine in EngineKind::ALL {
+        let session = |cache: bool, telemetry: &Telemetry| {
+            RiskSession::builder()
+                .engine(engine)
+                .pool_threads(2)
+                .stage1_cache(cache)
+                .telemetry(telemetry.clone())
+                .build()
+        };
+        let (cached_obs, uncached_obs) = (Telemetry::new(), Telemetry::new());
+        let cached = session(true, &cached_obs)?.run_batch(&scenarios)?;
+        let uncached = session(false, &uncached_obs)?.run_batch(&scenarios)?;
+        let builds = |t: &Telemetry| t.snapshot().metrics().counter("stage2.secondary_builds");
+        assert_eq!(builds(&cached_obs), 1, "{engine:?}: one build per key");
+        assert_eq!(
+            builds(&uncached_obs),
+            12,
+            "{engine:?}: cache off builds per run"
+        );
+        for (i, (x, y)) in cached.iter().zip(&uncached).enumerate() {
+            assert_eq!(x.ylt, y.ylt, "{engine:?} slot {i}");
+            assert_eq!(x.measures, y.measures, "{engine:?} slot {i}");
+        }
+        assert_ne!(
+            cached[0].ylt, cached[11].ylt,
+            "attachments price differently"
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn stage1_cache_bytes_cover_the_model_run_and_its_tables() -> RiskResult<()> {
+    let scenario = twelve_point_sweep(171).remove(0);
+    let session = RiskSession::builder().pool_threads(2).build()?;
+    session.run(&scenario)?;
+    let output = scenario.build_stage1_output_on(session.pool())?;
+    let tables: usize = output
+        .books
+        .iter()
+        .map(|b| SecondaryTable::build_on(&b.elt, QuantileMode::default(), session.pool()))
+        .map(|t| t.memory_bytes())
+        .sum();
+    assert!(tables > 0);
+    let want = (output.memory_bytes() + tables) as u64;
+    assert_eq!(session.stage1_cache_stats().bytes, want);
+
+    // Without secondary uncertainty there are no tables to retain.
+    let plain = RiskSession::builder()
+        .pool_threads(2)
+        .options(AggregateOptions {
+            secondary_uncertainty: false,
+            ..AggregateOptions::default()
+        })
+        .build()?;
+    plain.run(&scenario)?;
+    assert_eq!(
+        plain.stage1_cache_stats().bytes,
+        output.memory_bytes() as u64
+    );
     Ok(())
 }

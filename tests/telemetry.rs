@@ -78,6 +78,11 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() -> RiskResult<()> 
     // pipeline layer contributed.
     let m = &seen[0];
     assert_eq!(m.counter("stage1.builds"), 4, "one build per distinct key");
+    assert_eq!(
+        m.counter("stage2.secondary_builds"),
+        4,
+        "secondary tables built once per distinct key"
+    );
     assert_eq!(m.counter("stage1.misses"), 4);
     assert_eq!(m.counter("stage2.scenarios"), 4);
     assert_eq!(m.counter("sweep.delivered"), 4);
@@ -134,6 +139,7 @@ fn span_tree_covers_every_stage_of_a_full_plan() -> RiskResult<()> {
         ("sweep.scenario", n),
         ("stage1.acquire", n),
         ("stage1.build", n), // distinct seeds → one build each
+        ("stage2.secondary", n),
         ("stage2.engine", n),
         ("stage2.persist_yelt", n),
         ("stage3.dfa", n),
